@@ -126,12 +126,11 @@
 //
 // -api host:port serves the operator HTTP API (internal/ctlplane) over the
 // agent's per-round published state snapshot: GET /v1/caps, /v1/health,
-// /status (legacy shape; -status remains as a deprecated alias for -api)
-// and /metrics (Prometheus text), plus POST /v1/budget, /v1/powercap and
-// /v1/shed, which queue coalesced latest-wins commands applied at the next
-// round boundary. Reads are lock-free and allocation-free at steady state
-// and cannot delay a round; see "Control plane" in DESIGN.md and the API
-// reference in README.md.
+// /status (legacy shape) and /metrics (Prometheus text), plus POST
+// /v1/budget, /v1/powercap and /v1/shed, which queue coalesced latest-wins
+// commands applied at the next round boundary. Reads are lock-free and
+// allocation-free at steady state and cannot delay a round; see "Control
+// plane" in DESIGN.md and the API reference in README.md.
 //
 // # Shutdown
 //
@@ -172,7 +171,6 @@ func main() {
 	timeout := flag.Duration("connect-timeout", 10*time.Second, "neighbor connect timeout")
 	seed := flag.Int64("seed", 1, "seed for the characterization sweep noise")
 	apiAddr := flag.String("api", "", "control-plane HTTP endpoint, e.g. 127.0.0.1:8080 (GET /v1/caps /v1/health /status /metrics, POST /v1/budget /v1/powercap /v1/shed)")
-	statusAddr := flag.String("status", "", "deprecated alias for -api (kept for old drills; serves the same endpoints)")
 	chord := flag.Int("chord", 0, "standby chord stride (0 = peers-file 'chord' directive, if any)")
 	gatherTimeout := flag.Duration("gather-timeout", 0, "declare a silent neighbor dead after this long (0 = detection off)")
 	heartbeat := flag.Duration("heartbeat", 0, "transport heartbeat interval (0 = off)")
@@ -491,12 +489,8 @@ func main() {
 	// decorator runs on the agent goroutine at publish time and attaches
 	// what the consensus layer cannot see: transport counters and the
 	// watchdog's status.
-	apiListen := *apiAddr
-	if apiListen == "" {
-		apiListen = *statusAddr
-	}
 	var api *ctlplane.Server
-	if apiListen != "" {
+	if *apiAddr != "" {
 		pub := new(diba.StatePub)
 		pub.SetDecorator(func(s *diba.StateSnapshot) {
 			s.Wire = tcp.WireTotals()
@@ -527,7 +521,7 @@ func main() {
 		api = ctlplane.New(ctlplane.Config{
 			Node: *id, Workload: *bench, Pub: pub, BudgetW: *budget, Hier: hier,
 		})
-		if err := api.Start(apiListen); err != nil {
+		if err := api.Start(*apiAddr); err != nil {
 			log.Fatalf("dibad: api listen: %v", err)
 		}
 		log.Printf("dibad: agent %d control plane at http://%s/ (GET /v1/caps /v1/health /status /metrics)", *id, api.Addr())

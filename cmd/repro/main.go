@@ -4,8 +4,6 @@
 //
 //	repro [-full] [-seed N] [-j N] all
 //	repro [-full] [-seed N] fig4.3 table4.2 ...
-//	repro bench
-//	repro apiload
 //	repro list
 //
 // By default experiments run at the Quick scale (smaller clusters, same
@@ -13,9 +11,8 @@
 // many minutes for the large knapsack and DiBA runs. -j runs experiments
 // (and their internal sweeps) on that many workers; all modeled output is
 // byte-identical at any -j, only wall-clock time and the measured-timing
-// cells change. bench writes a machine-readable BENCH_<date>.json baseline;
-// apiload load-tests the control plane against a live in-process cluster
-// and writes BENCH_<date>-api.json with hard perf gates.
+// cells change. Performance is measured by the benchmark in bench/
+// (`bash bench/run.sh`), not by this command.
 package main
 
 import (
@@ -106,16 +103,8 @@ func run() int {
 	jobs := flag.Int("j", 0, "worker count for experiments and their sweeps (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchOut := flag.String("benchout", "", "bench/apiload: output path (default BENCH_<date>[-series].json)")
-	benchTagFlag := flag.String("tag", "", "bench/apiload: free-form label recorded in the JSON report")
-	hierN := flag.Int("hiern", 10000, "bench: largest hierarchical-engine cluster to time (series 1k/10k/100k/1M)")
-	desBench := flag.Bool("des", false, "bench: run the shared-clock event-core series instead (writes BENCH_<date>-des.json)")
-	grayBench := flag.Bool("gray", false, "bench: run the gray-failure tolerance gates instead (writes BENCH_<date>-gray.json)")
-	apiN := flag.Int("apin", 5, "apiload: daemon count")
-	apiDur := flag.Duration("apidur", 2*time.Second, "apiload: length of each measured load phase")
-	apiRound := flag.Duration("apiround", 5*time.Millisecond, "apiload: cluster round pacing interval")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repro [-full] [-seed N] [-j N] <experiment ids...|all|bench|apiload|list>\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: repro [-full] [-seed N] [-j N] <experiment ids...|all|list>\n\nexperiments:\n")
 		for _, id := range ids() {
 			fmt.Fprintf(os.Stderr, "  %s\n", id)
 		}
@@ -131,7 +120,6 @@ func run() int {
 		scale = experiments.Full
 	}
 	parallel.SetWorkers(*jobs)
-	benchTag = *benchTagFlag
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -167,32 +155,6 @@ func run() int {
 	case "list":
 		for _, id := range ids() {
 			fmt.Println(id)
-		}
-		return 0
-	case "bench":
-		if *grayBench {
-			if err := runBenchGray(*seed, *benchOut); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: bench -gray: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if *desBench {
-			if err := runBenchDes(*seed, *benchOut); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: bench -des: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if err := runBench(scale, *seed, *benchOut, *hierN); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: bench: %v\n", err)
-			return 1
-		}
-		return 0
-	case "apiload":
-		if err := runAPILoad(*seed, *benchOut, *apiN, *apiDur, *apiRound); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: apiload: %v\n", err)
-			return 1
 		}
 		return 0
 	case "all":

@@ -607,8 +607,8 @@ func RunScenarioEvents(sc Scenario) (ScenarioResult, error) {
 // structure: every simulated second it drains the same cursors in the same
 // order and then pays a full O(N) sweep over the servers. The result is
 // bit-identical to RunScenarioEvents; only Steps/WorkUnits — the cost —
-// differ. This is the baseline the desscale experiment and `repro bench
-// -des` measure the event core against.
+// differ. This is the baseline the desscale experiment and
+// BenchmarkScenarioSparse measure the event core against.
 func RunScenarioTicks(sc Scenario) (ScenarioResult, error) {
 	st, cursors, err := buildScenario(sc)
 	if err != nil {

@@ -207,7 +207,7 @@ func TestScenarioEquivalenceProperty(t *testing.T) {
 // TestScenarioSparseWorkAdvantage: in the sparse regime the tick runner
 // pays O(N) every second while the event runner pays only per event — the
 // recorded WorkUnits must show at least an order of magnitude between them
-// (wall-clock is benchmarked by `repro bench -des`, not asserted here).
+// (wall-clock is benchmarked by BenchmarkScenarioSparse, not asserted here).
 func TestScenarioSparseWorkAdvantage(t *testing.T) {
 	sc := Scenario{
 		N:                  10_000,
@@ -283,4 +283,38 @@ func TestScenarioValidation(t *testing.T) {
 			t.Fatalf("bad scenario %d accepted by tick runner", i)
 		}
 	}
+}
+
+// BenchmarkScenarioSparse times the sparse 100k-node, 1-hour scenario (1%
+// of servers churn per minute, samples every 60 s) through both runners.
+// ticks runs first so events can report its wall-clock speedup over the
+// tick loop; the desscale table pins the structural work ratio.
+func BenchmarkScenarioSparse(b *testing.B) {
+	sc := Scenario{
+		N:                  100_000,
+		Seed:               1,
+		HorizonSeconds:     3600,
+		InitialBudgetW:     130 * 100_000,
+		ChurnPerSecond:     0.01 / 60,
+		SampleEverySeconds: 60,
+	}
+	var tickNs float64
+	b.Run("ticks", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := RunScenarioTicks(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tickNs = float64(b.Elapsed()) / float64(b.N)
+	})
+	b.Run("events", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := RunScenarioEvents(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if tickNs > 0 {
+			b.ReportMetric(tickNs/(float64(b.Elapsed())/float64(b.N)), "x-vs-ticks")
+		}
+	})
 }

@@ -49,7 +49,6 @@ type Command struct {
 	Key     string
 	BudgetW float64
 	Frac    float64
-	Tenant  string
 }
 
 // cmdQueue is the bounded latest-wins command queue. Enqueue is called from
@@ -257,7 +256,7 @@ func (s *Server) Requests() uint64 {
 //	GET  /metrics     Prometheus text exposition
 //	POST /v1/budget   {"budget_w": 900}            set cluster budget
 //	POST /v1/powercap {"percentage": 75}           budget as % of configured
-//	POST /v1/shed     {"frac": 0.2, "tenant": ""}  emergency shed
+//	POST /v1/shed     {"frac": 0.2}                emergency shed
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/caps", func(w http.ResponseWriter, r *http.Request) {
@@ -344,7 +343,6 @@ func (s *Server) queueAndReply(w http.ResponseWriter, cmd Command) {
 func (s *Server) serveBudget(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BudgetW float64 `json:"budget_w"`
-		Tenant  string  `json:"tenant"`
 	}
 	if !s.decodeCommand(w, r, &req) {
 		return
@@ -353,7 +351,7 @@ func (s *Server) serveBudget(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "budget_w must be positive", http.StatusBadRequest)
 		return
 	}
-	s.queueAndReply(w, Command{Kind: CmdSetBudget, Key: "budget", BudgetW: req.BudgetW, Tenant: req.Tenant})
+	s.queueAndReply(w, Command{Kind: CmdSetBudget, Key: "budget", BudgetW: req.BudgetW})
 }
 
 func (s *Server) servePowercap(w http.ResponseWriter, r *http.Request) {
@@ -380,8 +378,7 @@ func (s *Server) servePowercap(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveShed(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Frac   float64 `json:"frac"`
-		Tenant string  `json:"tenant"`
+		Frac float64 `json:"frac"`
 	}
 	if !s.decodeCommand(w, r, &req) {
 		return
@@ -390,7 +387,7 @@ func (s *Server) serveShed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "frac must be in (0, 1)", http.StatusBadRequest)
 		return
 	}
-	s.queueAndReply(w, Command{Kind: CmdShed, Key: "shed", Frac: req.Frac, Tenant: req.Tenant})
+	s.queueAndReply(w, Command{Kind: CmdShed, Key: "shed", Frac: req.Frac})
 }
 
 // Start listens on addr and serves the control plane in a background

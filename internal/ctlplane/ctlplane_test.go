@@ -338,6 +338,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code, _ := post("/v1/budget", `{"bad_field":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d", code)
 	}
+	// Writes are cluster-wide: a tenant-scoped body is rejected, not
+	// silently widened (the budget check below shows it queued nothing).
+	if code, _ := post("/v1/budget", `{"budget_w":500,"tenant":"a"}`); code != http.StatusBadRequest {
+		t.Fatalf("tenant field accepted: %d", code)
+	}
 
 	// powercap coalesced onto the budget key: 75% of 900 = 675.
 	var drained []Command

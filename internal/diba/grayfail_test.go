@@ -57,6 +57,53 @@ func TestGraySimDeterministicAndTolerant(t *testing.T) {
 	}
 }
 
+// TestGrayDegradedNodeNoFalseDeath runs an 8-agent ring with one degraded
+// node — every lane touching it delayed 8 ms — under both the fixed
+// deadline policy and the straggler-tolerant one. A slow node that keeps
+// beaconing is alive: under either policy no agent may declare any death,
+// and every budget view must stay at the full cluster budget.
+func TestGrayDegradedNodeNoFalseDeath(t *testing.T) {
+	checkGoroutineLeak(t)
+	const (
+		n, rounds = 8, 60
+		slow      = 3
+		delay     = 8 * time.Millisecond
+	)
+	fixed := FaultPolicy{
+		GatherTimeout:  40 * time.Millisecond,
+		HeartbeatGrace: 250 * time.Millisecond,
+		Recover:        true,
+	}
+	// DeadlineMax below the injected delay is what turns the slowness into
+	// mitigations; otherwise the adaptive deadline would simply grow to fit.
+	tolerant := fixed
+	tolerant.StragglerTolerant = true
+	tolerant.DeadlineMax = 4 * time.Millisecond
+
+	us := mkCluster(t, n, 1)
+	budget := 170.0 * n
+	for _, tc := range []struct {
+		name string
+		fp   FaultPolicy
+	}{{"fixed", fixed}, {"tolerant", tolerant}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := &FaultPlan{Seed: 1, SlowNodes: map[int]SlowSpec{slow: {Delay: delay}}}
+			states, err := RunAgentsUnderFaults(topology.Ring(n), us, budget, Config{}, rounds, plan, tc.fp, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range states {
+				if len(st.Dead) != 0 {
+					t.Fatalf("agent %d declared %v dead; the slow node is alive and beaconing", st.ID, st.Dead)
+				}
+				if st.Budget != budget {
+					t.Fatalf("agent %d budget view %v != %v", st.ID, st.Budget, budget)
+				}
+			}
+		})
+	}
+}
+
 // runGraySoak deploys a real-agent ring under a combined gray-failure plan
 // — one degraded node (flapping off after its On window), a mid-run link
 // partition, optionally permanent message loss — with straggler-tolerant

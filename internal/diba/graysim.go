@@ -8,15 +8,16 @@ import (
 
 // graysim.go is a deterministic virtual-time model of a DiBA ring with one
 // gray (slowed, alive) node, used by the pinned `repro grayfail` experiment
-// and the `repro bench -gray` gates. Real-agent runs of the same scenario
-// are wall-clock driven and therefore unpinnable; this model replaces the
-// clock with discrete slots — every healthy link delivers in 1 slot, every
-// link touching the slow node in Sigma slots — while running the *exact*
-// round arithmetic (nodeRule/edgeTransfer) and the exact stale-settlement
-// algebra of straggler.go. That makes both the performance claim (a
-// fixed-deadline ring throttles to the slow node's pace; a
-// straggler-tolerant ring does not) and the conservation claim (every
-// substituted round settles back to Σe = Σp − B) reproducible bitwise.
+// and TestGraySimDeterministicAndTolerant. Real-agent runs of the same
+// scenario are wall-clock driven and therefore unpinnable; this model
+// replaces the clock with discrete slots — every healthy link delivers in
+// 1 slot, every link touching the slow node in Sigma slots — while running
+// the *exact* round arithmetic (nodeRule/edgeTransfer) and the exact
+// stale-settlement algebra of straggler.go. That makes both the
+// performance claim (a fixed-deadline ring throttles to the slow node's
+// pace; a straggler-tolerant ring does not) and the conservation claim
+// (every substituted round settles back to Σe = Σp − B) reproducible
+// bitwise.
 //
 // The timing model is max-plus: node i starts round r+1 when its round-r
 // inputs are satisfied, so with fixed deadlines the ring's asymptotic round

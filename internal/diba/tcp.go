@@ -166,6 +166,17 @@ type wireCounters struct {
 	flushes   atomic.Uint64
 }
 
+// countFlush counts one socket write of msgs messages and bytes bytes.
+// Writers count before the write, so a receiver that has read a frame
+// always finds it counted on the sender. A failed write stays counted:
+// part of it may have reached the peer, and the counters are exported as
+// monotone (Prometheus) counters, so they never go back.
+func (c *wireCounters) countFlush(bytes, msgs int) {
+	c.bytesSent.Add(uint64(bytes))
+	c.msgsSent.Add(uint64(msgs))
+	c.flushes.Add(1)
+}
+
 func (c *wireCounters) snapshot() WireStats {
 	return WireStats{
 		MsgsSent:  c.msgsSent.Load(),
@@ -753,6 +764,7 @@ pending:
 	if t.opt.writeTimeout > 0 {
 		conn.c.SetWriteDeadline(time.Now().Add(t.opt.writeTimeout))
 	}
+	st.countFlush(len(b), len(bs))
 	if _, err := conn.c.Write(b); err != nil {
 		// A failed or expired write leaves the stream in an undefined
 		// state; drop the connection and let the pump's read failure
@@ -760,9 +772,6 @@ pending:
 		conn.shutdown()
 		return false
 	}
-	st.bytesSent.Add(uint64(len(b)))
-	st.msgsSent.Add(uint64(len(bs)))
-	st.flushes.Add(1)
 	return true
 }
 
@@ -858,15 +867,12 @@ func (t *TCPTransport) writeDirect(conn *tcpConn, m Message) error {
 	if t.opt.writeTimeout > 0 {
 		conn.c.SetWriteDeadline(time.Now().Add(t.opt.writeTimeout))
 	}
-	_, err := conn.c.Write(conn.scratch)
-	if err != nil {
+	st := t.counters(conn.peer)
+	st.countFlush(len(conn.scratch), 1)
+	if _, err := conn.c.Write(conn.scratch); err != nil {
 		conn.shutdown()
 		return err
 	}
-	st := t.counters(conn.peer)
-	st.bytesSent.Add(uint64(len(conn.scratch)))
-	st.msgsSent.Add(1)
-	st.flushes.Add(1)
 	return nil
 }
 
